@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fuzz vet check bench-perf alloc-gate ci
+.PHONY: build test race fuzz vet fmt-check check bench-perf alloc-gate ci
 
 build:
 	$(GO) build ./...
@@ -49,21 +49,27 @@ PERFFLAGS ?=
 bench-perf:
 	$(GO) run ./cmd/chkperf $(PERFFLAGS)
 
-# Allocation gate: the testing.AllocsPerRun zero-pins for the engine, codec
-# and collective hot paths, plus a microbenchmark smoke of the event queue and
-# payload codecs — all under the race detector. A failure here means a change
-# re-introduced steady-state allocation (or broke the queue/codec) before the
-# perf trajectory would have surfaced it.
+# Allocation gate: the testing.AllocsPerRun zero-pins for the engine, codec,
+# collective and message-transport hot paths, the transport's zero-spawn pin,
+# plus a microbenchmark smoke of the event queue, payload codecs and remote
+# Send — all under the race detector. A failure here means a change
+# re-introduced steady-state allocation or per-message processes (or broke
+# the queue/codec/transport) before the perf trajectory would have surfaced it.
 alloc-gate:
-	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches' ./internal/sim ./internal/codec ./internal/mp
-	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/codec
+	$(GO) test -race -run 'TestAllocs|TestDecodeF64sIntoMatches|TestSendSpawnsNoProcesses' ./internal/sim ./internal/codec ./internal/mp ./internal/fabric
+	$(GO) test -race -run '^$$' -bench . -benchtime 10x ./internal/sim ./internal/codec ./internal/fabric
+
+# Formatting gate: every Go file must be gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # What the GitHub workflow runs (.github/workflows/ci.yml): the full suite
-# under the race detector, plus build, vet, the fuzz smoke, and the
-# allocation gate.
+# under the race detector, plus build, vet, the gofmt check, the fuzz smoke,
+# and the allocation gate.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(MAKE) fmt-check
 	$(GO) test -race ./...
 	$(MAKE) fuzz
 	$(MAKE) alloc-gate

@@ -72,9 +72,9 @@ func scaleWorkload(nodes int) apps.Workload {
 
 // scaleCoordMaxNodes caps the coordinated family's cells. Its marker flood is
 // O(n²) control messages per round — every rank markers every channel, the
-// protocol's real cost — and simulating the million couriers of a 1024-node
-// round costs two orders of magnitude more host time than the autonomous
-// families' O(n) traffic. The family comparison lives at and below this
+// protocol's real cost — and simulating the million messages of a 1024-node
+// round, each several engine events per hop, costs two orders of magnitude
+// more host time than the autonomous families' O(n) traffic. The family comparison lives at and below this
 // size; past it only the autonomous families run, and the report says so.
 const scaleCoordMaxNodes = 256
 

@@ -241,13 +241,14 @@ func (o *Oracle) RunCell(spec CellSpec) (CellResult, error) {
 				// server is provably idle, as a real repair crew would fsck
 				// before restarting anything.
 				o.settleStorage(p, m)
+				// Recovery runs in processes of its own, which end the span
+				// once the last rank is relaunched.
 				sp := m.Obs.Start(0, obs.TidCoord, "check.recover")
 				if spec.Scheme.Coordinated() {
-					res.Round = o.recoverCoordinated(m, spec.Scheme, opt, h, a, factory)
+					res.Round = o.recoverCoordinated(m, spec.Scheme, opt, h, a, factory, sp)
 				} else {
-					res.Line, res.CrashRecords = o.recoverUncoordinated(m, spec.Scheme, opt, h, a, factory)
+					res.Line, res.CrashRecords = o.recoverUncoordinated(m, spec.Scheme, opt, h, a, factory, sp)
 				}
-				sp.End()
 			})
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/fabric"
 	"repro/internal/mp"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/rdg"
 	"repro/internal/sim"
@@ -14,8 +15,9 @@ import (
 
 // recoverCoordinated restarts a crashed machine through the coordinated
 // protocol's own recovery manager (ckpt.Recover) and re-arms the oracle on
-// the new incarnation. Returns the recovered round.
-func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program) int {
+// the new incarnation. sp is ended when the manager has relaunched every
+// rank. Returns the recovered round.
+func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program, sp obs.Span) int {
 	round := 0
 	if meta, ok := m.StoreFor(0).Peek(ckpt.CoordMetaPath()); ok {
 		if r, err := ckpt.ParseMetaRecord(meta); err == nil {
@@ -37,6 +39,7 @@ func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Opt
 	// last one opens the gate — before any checkpoint request.
 	m.Eng.Spawn("check-arm", func(p *sim.Proc) {
 		rep.Done.Wait(p)
+		sp.End()
 		if hooker, ok := rep.Scheme.(ckpt.CommitHooker); ok {
 			hooker.SetCommitHook(a.onCommit)
 		}
@@ -58,7 +61,8 @@ func (o *Oracle) recoverCoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Opt
 // under test: a consistent line guarantees every channel's restored consume
 // count is at most its restored send count, so the window [consumed, sent)
 // is well-formed and re-executing from the line re-creates every later send.
-func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program) ([]int, []ckpt.Record) {
+// sp is ended once every rank is relaunched.
+func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.Options, h *Harness, a *audit, factory func(int) mp.Program, sp obs.Span) ([]int, []ckpt.Record) {
 	n := m.NumNodes()
 	for _, nd := range m.Nodes {
 		nd.Restart()
@@ -196,6 +200,7 @@ func (o *Oracle) recoverUncoordinated(m *par.Machine, v ckpt.Variant, opt ckpt.O
 				env.RestoreLibState(libs[rank])
 			}
 		}
+		sp.End()
 	})
 	return line, crashRecords
 }

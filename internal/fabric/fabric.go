@@ -11,6 +11,13 @@
 // between a fixed (src, dst) pair is FIFO because all such messages follow
 // the same deterministic path, which the reliable-FIFO message layer above
 // relies on.
+//
+// Transport runs as engine events, not processes: each remote message is
+// carried by a courier state machine whose link acquisitions, wire times and
+// fault delays are a chain of At/After callbacks, issued in the order a
+// process per message would have slept and woken, so the virtual schedule is
+// unchanged while no goroutine is spawned or switched per message. Delivery
+// handlers therefore run in engine context.
 package fabric
 
 import (
@@ -148,8 +155,8 @@ type Envelope struct {
 	Seq      uint64 // global send sequence, for tracing
 }
 
-// Handler receives a delivered envelope. It runs under the simulation's
-// single-runner discipline (from a courier process) and must not block.
+// Handler receives a delivered envelope. It runs in engine context — from the
+// event that completes the envelope's transport — and must not block.
 type Handler func(*Envelope)
 
 type link struct {
@@ -203,6 +210,8 @@ type Network struct {
 	// of the mesh→host direction of the host links (the path every stable-
 	// storage write takes); nil disables the instrumentation.
 	Obs *obs.Observer
+
+	couriers []*courier // free list of idle couriers
 
 	totalMsgs  int64
 	totalBytes int64
@@ -295,10 +304,21 @@ func (n *Network) SetDeliver(id NodeID, h Handler) { n.deliver[id] = h }
 
 // Send injects env into the network. If sender is non-nil the configured
 // software send overhead is charged to it (the sender blocks for that time);
-// transport then proceeds asynchronously via a courier process, so Send
-// models a non-blocking (buffered) send. Send panics on an invalid
-// destination (routing-only switches are not endpoints).
+// transport then proceeds asynchronously as a chain of engine events (see
+// courier), so Send models a non-blocking (buffered) send. Send panics on an
+// invalid destination (routing-only switches are not endpoints).
 func (n *Network) Send(sender *sim.Proc, env *Envelope) {
+	if c := n.admit(sender, env); c != nil {
+		n.eng.At(n.eng.Now(), c.beginFn)
+	}
+}
+
+// admit performs everything Send does before transport starts: sequencing,
+// traffic accounting, the sender's software overhead and the fault verdict.
+// A node-local envelope is scheduled for delivery directly and admit returns
+// nil; a remote one gets a courier loaded with its route, which the caller
+// starts.
+func (n *Network) admit(sender *sim.Proc, env *Envelope) *courier {
 	if d := int(env.Dst); d < 0 || d >= len(n.deliver) || (d >= n.nNodes && !n.isHost(env.Dst)) {
 		panic(fmt.Sprintf("fabric: send to invalid node %d", env.Dst))
 	}
@@ -314,69 +334,139 @@ func (n *Network) Send(sender *sim.Proc, env *Envelope) {
 	}
 	if env.Src == env.Dst {
 		n.eng.After(n.cfg.LocalLatency, func() { n.handoff(env) })
-		return
+		return nil
 	}
-	pair := [2]NodeID{env.Src, env.Dst}
-	n.sendSeq[pair]++
-	pairSeq := n.sendSeq[pair]
+	c := n.newCourier()
+	c.env = env
+	c.pair = [2]NodeID{env.Src, env.Dst}
+	n.sendSeq[c.pair]++
+	c.pairSeq = n.sendSeq[c.pair]
 	// The fault verdict is drawn at send time, in deterministic send order,
-	// so the injection stream does not depend on courier interleaving.
-	var faultDelay sim.Duration
-	var dropped bool
+	// so the injection stream does not depend on transport interleaving.
 	if n.FaultHook != nil {
-		faultDelay, dropped = n.FaultHook(env)
+		c.faultDelay, c.dropped = n.FaultHook(env)
 	}
-	path := n.Path(env.Src, env.Dst)
-	// The courier's name is a fixed string: process names are read only by
-	// panic reports and the engine's leak dump, and formatting a unique name
-	// per message was a measurable share of steady-state allocation.
-	n.eng.Spawn("courier", func(p *sim.Proc) {
-		for _, hop := range path {
-			l := n.links[hop]
-			remaining := env.Size
-			// Queue-wait accounting for the host-link hops: the time this
-			// message's packets spend waiting behind competing traffic for
-			// the shared path to stable storage. Observing the clock does not
-			// perturb the acquisition order, so instrumented runs keep the
-			// exact virtual schedule.
-			measure := n.Obs.Enabled() && n.isHost(hop[1])
-			var waited sim.Duration
-			for {
-				chunk := remaining
-				if n.cfg.PacketBytes > 0 && chunk > n.cfg.PacketBytes {
-					chunk = n.cfg.PacketBytes
-				}
-				if measure {
-					t0 := p.Now()
-					l.res.Acquire(p)
-					waited += p.Now().Sub(t0)
-				} else {
-					l.res.Acquire(p)
-				}
-				p.Sleep(l.lat + sim.BytesAt(chunk, l.bw))
-				l.res.Release()
-				remaining -= chunk
-				if remaining <= 0 {
-					break
-				}
-			}
-			if measure {
-				n.Obs.ObserveDur(int(env.Src), "storage.hostlink_queue_wait", waited)
-			}
-			l.bytes += int64(env.Size)
-			l.msgs++
-			if hop[1] != env.Dst && n.TransitHook != nil {
-				n.TransitHook(hop[1], env.Size)
-			}
-		}
-		if faultDelay > 0 {
-			p.Sleep(faultDelay)
-		}
-		n.arrive(pair, pairSeq, env, dropped)
-	})
+	c.path = n.Path(env.Src, env.Dst)
+	return c
 }
 
-// arrival is one courier completion awaiting in-order delivery. Dropped
+// courier carries one remote envelope along its path as a chain of engine
+// events: for every packet-sized chunk of every hop it acquires the link,
+// holds it for the chunk's wire time, and releases it; after the last hop an
+// optional fault delay runs, then arrive's per-pair resequencing. Each
+// scheduled event stands where a process courier would Sleep or be woken, in
+// the same order, so the virtual schedule — event sequence numbers included —
+// is what a goroutine per message would produce, at the cost of a callback
+// instead of two goroutine handoffs. Couriers are recycled through the
+// network's free list, with their callbacks bound once, so steady-state
+// transport allocates nothing.
+type courier struct {
+	n          *Network
+	env        *Envelope
+	path       [][2]NodeID
+	pair       [2]NodeID
+	pairSeq    uint64
+	faultDelay sim.Duration
+	dropped    bool
+
+	hop       int   // index into path of the hop in flight
+	l         *link // path[hop]'s link
+	remaining int   // bytes of this hop not yet sent
+	chunk     int   // bytes of the chunk holding or awaiting the link
+
+	// Queue wait of this hop's chunks: the time they spend waiting behind
+	// competing traffic for the link, reported for the host-link hops (the
+	// shared path to stable storage). Reading the clock does not perturb the
+	// acquisition order, so instrumented runs keep the exact virtual
+	// schedule.
+	t0     sim.Time
+	waited sim.Duration
+
+	// The methods below as func values, bound once per courier.
+	beginFn, transmitFn, nextFn, arriveFn func()
+}
+
+func (n *Network) newCourier() *courier {
+	if k := len(n.couriers); k > 0 {
+		c := n.couriers[k-1]
+		n.couriers = n.couriers[:k-1]
+		return c
+	}
+	c := &courier{n: n}
+	c.beginFn, c.transmitFn, c.nextFn, c.arriveFn = c.beginHop, c.transmit, c.next, c.arrive
+	return c
+}
+
+// beginHop starts carrying the envelope over path[hop]; a fresh courier
+// starts at hop 0.
+func (c *courier) beginHop() {
+	hop := c.path[c.hop]
+	c.l = c.n.links[hop]
+	c.remaining = c.env.Size
+	c.waited = 0
+	c.acquire()
+}
+
+// acquire requests the link for the next chunk; transmit runs once it is
+// granted, at once if the link is free.
+func (c *courier) acquire() {
+	c.chunk = c.remaining
+	if pb := c.n.cfg.PacketBytes; pb > 0 && c.chunk > pb {
+		c.chunk = pb
+	}
+	c.t0 = c.n.eng.Now()
+	if c.l.res.AcquireFn(c.transmitFn) {
+		c.transmit()
+	}
+}
+
+// transmit holds the granted link for the chunk's wire time.
+func (c *courier) transmit() {
+	c.waited += c.n.eng.Now().Sub(c.t0)
+	c.n.eng.After(c.l.lat+sim.BytesAt(c.chunk, c.l.bw), c.nextFn)
+}
+
+// next releases the link after a chunk and moves on: the hop's next chunk,
+// the path's next hop, or delivery.
+func (c *courier) next() {
+	n, l := c.n, c.l
+	l.res.Release()
+	c.remaining -= c.chunk
+	if c.remaining > 0 {
+		c.acquire()
+		return
+	}
+	hop := c.path[c.hop]
+	if n.Obs.Enabled() && n.isHost(hop[1]) {
+		n.Obs.ObserveDur(int(c.env.Src), "storage.hostlink_queue_wait", c.waited)
+	}
+	l.bytes += int64(c.env.Size)
+	l.msgs++
+	if hop[1] != c.env.Dst && n.TransitHook != nil {
+		n.TransitHook(hop[1], c.env.Size)
+	}
+	c.hop++
+	if c.hop < len(c.path) {
+		c.beginHop()
+		return
+	}
+	if c.faultDelay > 0 {
+		n.eng.After(c.faultDelay, c.arriveFn)
+		return
+	}
+	c.arrive()
+}
+
+// arrive hands the envelope to the pair's resequencer and returns the
+// courier to the free list.
+func (c *courier) arrive() {
+	n := c.n
+	n.arrive(c.pair, c.pairSeq, c.env, c.dropped)
+	*c = courier{n: n, beginFn: c.beginFn, transmitFn: c.transmitFn, nextFn: c.nextFn, arriveFn: c.arriveFn}
+	n.couriers = append(n.couriers, c)
+}
+
+// arrival is one transport completion awaiting in-order delivery. Dropped
 // arrivals advance the sequence without a handoff: the envelope is lost, but
 // later traffic on the pair is not stalled behind it.
 type arrival struct {

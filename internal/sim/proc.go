@@ -121,8 +121,11 @@ func (p *Proc) Sleep(d Duration) {
 // takes effect at its next park rather than unwinding the caller mid-frame;
 // crash-aware code must therefore guard continuation on node liveness, not
 // on Kill having unwound. Killing a process does not release resources it
-// holds, so only processes that park while holding no Resource should be
-// killed. Kill may be called from engine context or from any process.
+// holds, so a process that took a Resource unit with Acquire must not be
+// killed before it releases it. The caveat binds only direct Acquire callers:
+// the fabric's links are acquired by engine-context callbacks (AcquireFn), so
+// no production process parks on or holds a Resource. Kill may be called from
+// engine context or from any process.
 func (p *Proc) Kill() {
 	if p.done || p.killed {
 		return

@@ -146,6 +146,100 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
+// TestResourceCallbackWaitersShareFIFO: callback and process waiters queue
+// in one FIFO, a killed process is skipped, and a queued callback is granted
+// by an event at the releasing instant — never run inside Release.
+func TestResourceCallbackWaitersShareFIFO(t *testing.T) {
+	e := New()
+	r := NewResource(e, 1)
+	var order []string
+	note := func(name string) { order = append(order, fmt.Sprintf("%s@%v", name, e.Now())) }
+	hold := func(name string) {
+		note(name)
+		e.After(Second, r.Release)
+	}
+	if !r.AcquireFn(func() { t.Error("callback of a free grant must not run") }) {
+		t.Fatal("AcquireFn on a free resource did not grant at once")
+	}
+	note("a")
+	e.After(Second, r.Release)
+	e.At(0, func() {
+		if r.AcquireFn(func() { hold("b") }) {
+			t.Error("AcquireFn on a held resource granted at once")
+		}
+	})
+	victim := e.Spawn("victim", func(p *Proc) {
+		r.Acquire(p)
+		t.Error("killed waiter was granted the resource")
+	})
+	e.Spawn("c", func(p *Proc) {
+		r.Acquire(p)
+		note("c")
+		p.Sleep(Second)
+		r.Release()
+	})
+	e.At(0, func() {
+		r.AcquireFn(func() { hold("d") })
+		if got := r.QueueLen(); got != 4 {
+			t.Errorf("QueueLen = %d, want 4 (b, victim, c, d)", got)
+		}
+		victim.Kill()
+	})
+	e.At(Time(Second), func() {
+		// Runs after a's release at the same instant but before b's grant,
+		// which is an event of its own.
+		if len(order) != 1 {
+			t.Errorf("callback ran inside Release: %v", order)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("[a@%v b@%v c@%v d@%v]", Time(0), Time(Second), Time(2*Second), Time(3*Second))
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("grant order %v, want %v", got, want)
+	}
+	if got := r.BusyTime(); got != 4*Second {
+		t.Fatalf("BusyTime = %v, want 4s", got)
+	}
+}
+
+// TestResourceQueueCompactionKeepsFIFO drives a long-lived contended
+// resource through many queue/release cycles, so the waiter queue rewinds
+// and compacts repeatedly, and checks grants stay in arrival order.
+func TestResourceQueueCompactionKeepsFIFO(t *testing.T) {
+	e := New()
+	r := NewResource(e, 2)
+	next, granted := 0, 0
+	var enqueue func(burst int)
+	enqueue = func(burst int) {
+		for i := 0; i < burst; i++ {
+			id := next
+			next++
+			grant := func() {
+				if id != granted {
+					t.Fatalf("waiter %d granted in position %d", id, granted)
+				}
+				granted++
+				e.After(Duration(1+id%3), r.Release)
+			}
+			if r.AcquireFn(grant) {
+				grant()
+			}
+		}
+	}
+	for k := 0; k < 200; k++ {
+		burst := 1 + (k*7)%11
+		e.At(Time(k*5), func() { enqueue(burst) })
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if granted != next || r.InUse() != 0 || r.QueueLen() != 0 {
+		t.Fatalf("granted %d of %d, InUse %d, QueueLen %d", granted, next, r.InUse(), r.QueueLen())
+	}
+}
+
 func TestMailboxSelectiveReceive(t *testing.T) {
 	e := New()
 	m := NewMailbox[int](e)

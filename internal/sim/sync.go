@@ -38,17 +38,29 @@ func (g *Gate) Open() {
 }
 
 // Resource is a FIFO-granted counted resource (capacity 1 gives mutual
-// exclusion). Processes that park inside Acquire must not be killed; see
-// Proc.Kill.
+// exclusion). Waiters are either parked processes (Acquire) or engine-context
+// callbacks (AcquireFn); both kinds share one FIFO queue, and a grant to
+// either costs exactly one scheduled event. The fabric's links are callback
+// resources, so no production process parks on a Resource. A process that
+// took a unit with Acquire must not be killed before it releases it (see
+// Proc.Kill); a killed process still queued is skipped.
 type Resource struct {
 	eng   *Engine
 	cap   int
 	inUse int
-	queue []*Proc
+	queue []waiter
+	head  int // index of the oldest live entry of queue
 
 	// Busy accounting for utilization statistics.
 	busySince Time
 	busyTotal Duration
+}
+
+// waiter is one queued acquirer: a parked process, or the callback to run
+// once the unit is granted.
+type waiter struct {
+	proc *Proc
+	fn   func()
 }
 
 // NewResource returns a resource with the given capacity (>= 1).
@@ -66,9 +78,25 @@ func (r *Resource) Acquire(p *Proc) {
 		r.grant()
 		return
 	}
-	r.queue = append(r.queue, p)
+	r.queue = append(r.queue, waiter{proc: p})
 	p.park()
 	// Woken by Release, which already performed the grant accounting.
+}
+
+// AcquireFn is the callback twin of Acquire for engine-context state
+// machines. If a unit is free it is granted at once and AcquireFn returns
+// true without calling fn; the caller continues synchronously. Otherwise fn
+// joins the FIFO queue and AcquireFn returns false: a later Release grants the
+// unit and schedules fn at that instant — the same single event a parked
+// process's wakeup would take, so swapping a process acquirer for a callback
+// one leaves the event sequence unchanged.
+func (r *Resource) AcquireFn(fn func()) (grantedNow bool) {
+	if r.inUse < r.cap {
+		r.grant()
+		return true
+	}
+	r.queue = append(r.queue, waiter{fn: fn})
+	return false
 }
 
 // TryAcquire obtains a unit if one is free, without blocking.
@@ -96,23 +124,44 @@ func (r *Resource) Release() {
 	if r.inUse == 0 {
 		r.busyTotal += r.eng.now.Sub(r.busySince)
 	}
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
-		if w.done || w.killed {
+	for r.head < len(r.queue) {
+		w := r.queue[r.head]
+		r.pop()
+		if w.proc != nil && (w.proc.done || w.proc.killed) {
 			continue
 		}
 		r.grant()
-		w.wake()
+		if w.fn != nil {
+			r.eng.At(r.eng.now, w.fn)
+		} else {
+			w.proc.wake()
+		}
 		return
+	}
+}
+
+// pop drops the queue's oldest entry. The backing array is reused rather
+// than resliced away, so a link under sustained contention queues without
+// allocating: it rewinds when the queue drains and compacts once the dead
+// prefix outgrows the live part.
+func (r *Resource) pop() {
+	r.queue[r.head] = waiter{}
+	r.head++
+	switch live := len(r.queue) - r.head; {
+	case live == 0:
+		r.queue, r.head = r.queue[:0], 0
+	case r.head > live:
+		copy(r.queue, r.queue[r.head:])
+		clear(r.queue[live:])
+		r.queue, r.head = r.queue[:live], 0
 	}
 }
 
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+// QueueLen returns the number of waiters queued to acquire.
+func (r *Resource) QueueLen() int { return len(r.queue) - r.head }
 
 // BusyTime returns the total virtual time during which at least one unit was
 // held, up to the last transition to idle.

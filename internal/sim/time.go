@@ -12,6 +12,11 @@
 // simulation state (mailboxes, resources, statistics) without locks, in the
 // spirit of "share memory by communicating": the communication here is the
 // engine handoff itself.
+//
+// A handoff costs two goroutine switches, a callback event (At, After) none.
+// Code with no sequential control flow of its own — timers, the fabric's
+// per-message transport — is therefore written as callback chains, and
+// Resource accepts callback waiters (AcquireFn) next to parked processes.
 package sim
 
 import "fmt"

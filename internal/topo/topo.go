@@ -198,7 +198,7 @@ func (t Torus2D) Links() []Link {
 // ringStep returns the per-hop step (+1 or -1, modulo n) from c toward d
 // along the shorter arc of an n-ring, and the number of hops.
 func ringStep(c, d, n int) (step, hops int) {
-	fwd := ((d - c) % n + n) % n
+	fwd := ((d-c)%n + n) % n
 	if fwd == 0 {
 		return 0, 0
 	}
